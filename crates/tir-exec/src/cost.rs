@@ -8,7 +8,7 @@
 //! `max(compute_time, memory_time) + launch_overhead`, with compute
 //! throughput derated by the exposed parallelism.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use tir::visit::ExprVisitor;
 use tir::{AnnValue, Expr, ForKind, MemScope, PrimFunc, Stmt, ThreadTag};
@@ -23,9 +23,9 @@ pub struct CostSummary {
     /// Arithmetic operations executed inside vectorized loops.
     pub vector_ops: f64,
     /// Tensor-intrinsic MACs by intrinsic name.
-    pub tensor_macs: HashMap<String, f64>,
+    pub tensor_macs: BTreeMap<String, f64>,
     /// Bytes moved (loads + stores) per memory scope.
-    pub traffic: HashMap<MemScope, f64>,
+    pub traffic: BTreeMap<MemScope, f64>,
     /// Product of `blockIdx` extents (GPU grid size); 1 if none.
     pub grid_size: f64,
     /// Product of `threadIdx` extents (threads per block); 1 if none.
@@ -60,7 +60,7 @@ struct Walker {
 /// traffic).
 struct ExprCost<'a> {
     ops: f64,
-    traffic: &'a mut HashMap<MemScope, f64>,
+    traffic: &'a mut BTreeMap<MemScope, f64>,
     mult: f64,
 }
 
