@@ -29,22 +29,17 @@ impl Schedule {
     /// conditions above.
     pub fn blockize(&mut self, loop_ref: &LoopRef) -> Result<BlockRef> {
         let mut outer_name = String::new();
-        self.rewrite_loop(loop_ref, |f: tir::For| {
+        self.rewrite_loop(loop_ref, |s| {
             // Collect the inner loop chain and the single block realize.
-            let mut inner_loops: Vec<tir::For> = Vec::new();
-            let mut current = Stmt::For(Box::new(f));
-            let realize: BlockRealize = loop {
+            let mut inner_loops: Vec<&tir::For> = Vec::new();
+            let mut current = &*s;
+            let realize: &BlockRealize = loop {
                 match current {
                     Stmt::For(fr) => {
-                        let fr = *fr;
-                        let body = fr.body.clone();
-                        inner_loops.push(tir::For {
-                            body: Stmt::Seq(vec![]),
-                            ..fr
-                        });
-                        current = body;
+                        inner_loops.push(fr);
+                        current = &fr.body;
                     }
-                    Stmt::BlockRealize(br) => break *br,
+                    Stmt::BlockRealize(br) => break br,
                     other => {
                         return Err(ScheduleError::Precondition(format!(
                             "blockize requires a perfect loop nest over a single \
@@ -147,8 +142,11 @@ impl Schedule {
             let mut inner_stmt = Stmt::BlockRealize(Box::new(inner_realize));
             for l in inner_loops.into_iter().rev() {
                 inner_stmt = Stmt::For(Box::new(tir::For {
+                    var: l.var.clone(),
+                    extent: l.extent.clone(),
+                    kind: l.kind,
                     body: inner_stmt,
-                    ..l
+                    annotations: l.annotations.clone(),
                 }));
             }
 
@@ -173,10 +171,8 @@ impl Schedule {
                 writes,
                 inner_stmt,
             );
-            Ok(Stmt::BlockRealize(Box::new(BlockRealize::new(
-                outer_bindings,
-                outer_block,
-            ))))
+            *s = Stmt::BlockRealize(Box::new(BlockRealize::new(outer_bindings, outer_block)));
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "blockize",

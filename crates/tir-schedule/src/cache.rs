@@ -12,7 +12,7 @@ use tir::{
 };
 
 use crate::compute_location::{refresh_nested_signatures, required_region};
-use crate::schedule::{BlockRef, LoopRef, Result, Schedule, ScheduleError};
+use crate::schedule::{loop_mut, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 fn sanitize(scope: &MemScope) -> String {
@@ -72,19 +72,6 @@ fn copy_block_nest(
 }
 
 impl Schedule {
-    /// Registers a buffer in the root block's allocation list.
-    pub(crate) fn alloc_at_root(&mut self, buffer: Buffer) -> Result<()> {
-        self.rewrite_body(|body| match body {
-            Stmt::BlockRealize(mut root) => {
-                root.block.alloc_buffers.push(buffer);
-                Ok(Stmt::BlockRealize(root))
-            }
-            other => Err(ScheduleError::Precondition(format!(
-                "function body is not a root block: {other:?}"
-            ))),
-        })
-    }
-
     /// Creates a staging copy of `buffer` in `scope` for the reads of
     /// `block`, inserting the copy block at the top of `at_loop`'s body
     /// (or at the start of the root block when `at_loop` is `None`). The
@@ -119,51 +106,46 @@ impl Schedule {
         }
         let cache_name = format!("{}_{}", buffer.name(), sanitize(&scope));
         let cache = buffer.derive(cache_name.clone(), scope);
+        // The cache is allocated in the root block: check there is one
+        // before the first edit.
+        self.root_mut()?;
 
         // Insert the copy nest.
         match at_loop {
             Some(l) => {
-                let buffer_c = buffer.clone();
-                let cache_c = cache.clone();
-                let name_c = cache_name.clone();
-                self.rewrite_loop(l, |f: tir::For| {
+                self.rewrite_loop(l, |s| {
+                    let f = loop_mut(s);
                     let region =
-                        required_region(&f.body, &buffer_c, true, false).ok_or_else(|| {
+                        required_region(&f.body, buffer, true, false).ok_or_else(|| {
                             ScheduleError::Precondition(format!(
                                 "no read of {} under the target loop",
-                                buffer_c.name()
+                                buffer.name()
                             ))
                         })?;
-                    let nest = copy_block_nest(&name_c, &buffer_c, &cache_c, &region, &[])?;
-                    Ok(Stmt::For(Box::new(tir::For {
-                        body: Stmt::seq(vec![nest, f.body]),
-                        ..f
-                    })))
+                    let nest = copy_block_nest(&cache_name, buffer, &cache, &region, &[])?;
+                    f.body = Stmt::seq(vec![nest, std::mem::take(&mut f.body)]);
+                    Ok(())
                 })?;
             }
             None => {
                 let region = buffer.full_region().region;
                 let nest = copy_block_nest(&cache_name, buffer, &cache, &region, &[])?;
-                self.rewrite_body(|body| match body {
-                    Stmt::BlockRealize(mut root) => {
-                        root.block.body = Box::new(Stmt::seq(vec![nest, *root.block.body]));
-                        Ok(Stmt::BlockRealize(root))
-                    }
-                    other => Ok(Stmt::seq(vec![nest, other])),
-                })?;
+                let root = self.root_mut()?;
+                *root.body = Stmt::seq(vec![nest, std::mem::take(&mut *root.body)]);
             }
         }
         // Redirect the consumer block's reads.
         let mut map = std::collections::HashMap::new();
         map.insert(buffer.clone(), cache.clone());
-        self.rewrite_block(block, |br: BlockRealize| {
-            Ok(replace_buffers(&Stmt::BlockRealize(Box::new(br)), &map))
+        self.rewrite_block(block, |s| {
+            *s = replace_buffers(s, &map);
+            Ok(())
         })?;
         let scope_str = cache.scope().as_str().to_string();
-        self.alloc_at_root(cache)?;
+        self.root_mut()?.alloc_buffers.push(cache);
         // The rewritten block may be nested: refresh enclosing block
         // signatures so they describe the new buffer.
-        self.rewrite_body(|body| Ok(refresh_nested_signatures(body)))?;
+        self.map_body(refresh_nested_signatures);
         self.record(TraceStep::new(
             "cache_read",
             vec![
@@ -212,55 +194,47 @@ impl Schedule {
         let scope_str = scope.as_str().to_string();
         let cache = out_buffer.derive(cache_name, scope);
 
+        self.root_mut()?;
+
         // Compute the written region under the attach loop *before*
         // renaming (regions reference the original buffer).
         let region = match at_loop {
-            Some(l) => {
-                let mut region = None;
-                let out_c = out_buffer.clone();
-                crate::schedule::find_loop(&self.func.body, l.var(), &mut |f| {
-                    region = required_region(&f.body, &out_c, false, true);
-                });
-                region.ok_or_else(|| {
+            Some(l) => crate::schedule::find_loop(&self.func.body, l.var())
+                .and_then(|f| required_region(&f.body, &out_buffer, false, true))
+                .ok_or_else(|| {
                     ScheduleError::Precondition(format!(
                         "no write of {} under the target loop",
                         out_buffer.name()
                     ))
-                })?
-            }
+                })?,
             None => out_buffer.full_region().region,
         };
+        let nest = copy_block_nest(&wb_name, &cache, &out_buffer, &region, &[])?;
 
         // Redirect the producer block to the private accumulator.
         let mut map = std::collections::HashMap::new();
         map.insert(out_buffer.clone(), cache.clone());
-        self.rewrite_block(block, |br: BlockRealize| {
-            Ok(replace_buffers(&Stmt::BlockRealize(Box::new(br)), &map))
+        self.rewrite_block(block, |s| {
+            *s = replace_buffers(s, &map);
+            Ok(())
         })?;
 
         // Insert the write-back copy.
-        let nest = copy_block_nest(&wb_name, &cache, &out_buffer, &region, &[])?;
         match at_loop {
             Some(l) => {
-                self.rewrite_loop(l, |f: tir::For| {
-                    Ok(Stmt::For(Box::new(tir::For {
-                        body: Stmt::seq(vec![f.body, nest]),
-                        ..f
-                    })))
+                self.rewrite_loop(l, |s| {
+                    let f = loop_mut(s);
+                    f.body = Stmt::seq(vec![std::mem::take(&mut f.body), nest]);
+                    Ok(())
                 })?;
             }
             None => {
-                self.rewrite_body(|body| match body {
-                    Stmt::BlockRealize(mut root) => {
-                        root.block.body = Box::new(Stmt::seq(vec![*root.block.body, nest]));
-                        Ok(Stmt::BlockRealize(root))
-                    }
-                    other => Ok(Stmt::seq(vec![other, nest])),
-                })?;
+                let root = self.root_mut()?;
+                *root.body = Stmt::seq(vec![std::mem::take(&mut *root.body), nest]);
             }
         }
-        self.alloc_at_root(cache)?;
-        self.rewrite_body(|body| Ok(refresh_nested_signatures(body)))?;
+        self.root_mut()?.alloc_buffers.push(cache);
+        self.map_body(refresh_nested_signatures);
         self.record(TraceStep::new(
             "cache_write",
             vec![

@@ -12,7 +12,7 @@ use tir::visit::{collect_vars_expr, subst_expr};
 use tir::{Block, BlockRealize, Buffer, Expr, IterKind, RangeExpr, Stmt, Var};
 use tir_arith::bound::{bound_of, IntBound};
 
-use crate::schedule::{BlockRef, LoopRef, Result, Schedule, ScheduleError};
+use crate::schedule::{find_loop, loop_mut, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 /// Removes loops whose bodies became empty and flattens empty sequences.
@@ -46,41 +46,6 @@ pub(crate) fn prune_empty(s: Stmt) -> Stmt {
             br.block.body = Box::new(prune_empty(*br.block.body));
             Stmt::BlockRealize(br)
         }
-        other => other,
-    }
-}
-
-/// Extracts (removes and returns) the block realize with the given name.
-fn extract_block(s: Stmt, name: &str, out: &mut Option<BlockRealize>) -> Stmt {
-    match s {
-        Stmt::BlockRealize(br) => {
-            if br.block.name == name && out.is_none() {
-                *out = Some(*br);
-                return Stmt::Seq(vec![]);
-            }
-            let mut br = *br;
-            br.block.body = Box::new(extract_block(*br.block.body, name, out));
-            Stmt::BlockRealize(Box::new(br))
-        }
-        Stmt::For(f) => {
-            let f = *f;
-            let body = extract_block(f.body, name, out);
-            Stmt::For(Box::new(tir::For { body, ..f }))
-        }
-        Stmt::Seq(v) => Stmt::Seq(
-            v.into_iter()
-                .map(|st| extract_block(st, name, out))
-                .collect(),
-        ),
-        Stmt::IfThenElse {
-            cond,
-            then_branch,
-            else_branch,
-        } => Stmt::IfThenElse {
-            cond,
-            then_branch: Box::new(extract_block(*then_branch, name, out)),
-            else_branch: else_branch.map(|e| Box::new(extract_block(*e, name, out))),
-        },
         other => other,
     }
 }
@@ -398,40 +363,6 @@ fn can_prove_within(min: &Expr, extent: i64, dim: i64) -> bool {
 }
 
 impl Schedule {
-    /// Removes the realize of `block` from the tree and returns it.
-    pub(crate) fn take_block(&mut self, block: &BlockRef) -> Result<BlockRealize> {
-        let mut out = None;
-        let name = block.name().to_string();
-        self.rewrite_body(|body| Ok(prune_empty(extract_block(body, &name, &mut out))))?;
-        out.ok_or(ScheduleError::BlockNotFound(name))
-    }
-
-    /// Puts a previously extracted realize back at the end of the root
-    /// block's body (used by transformations that re-home a block).
-    #[allow(dead_code)]
-    pub(crate) fn restore_block_at_root(&mut self, br: BlockRealize) -> Result<()> {
-        let mut loops = Vec::new();
-        let mut bindings = Vec::new();
-        for iv in &br.block.iter_vars {
-            let fresh = Var::int(format!("r{}", loops.len()));
-            bindings.push(Expr::from(&fresh));
-            loops.push((fresh, iv.extent));
-        }
-        let nest = Stmt::BlockRealize(Box::new(BlockRealize::with_predicate(
-            bindings,
-            br.predicate.clone(),
-            br.block,
-        )))
-        .in_loops(loops);
-        self.rewrite_body(|body| match body {
-            Stmt::BlockRealize(mut root) => {
-                root.block.body = Box::new(Stmt::seq(vec![*root.block.body, nest]));
-                Ok(Stmt::BlockRealize(root))
-            }
-            other => Ok(Stmt::seq(vec![other, nest])),
-        })
-    }
-
     /// Moves producer `block` to the top of `loop_ref`'s body, shrinking it
     /// to compute exactly the region its consumers under that loop need
     /// (Fig. 6's compute-at).
@@ -440,45 +371,38 @@ impl Schedule {
     ///
     /// Fails when the block/loop is missing, the block writes more than one
     /// buffer, or no consumer under the loop reads its output; on failure
-    /// the schedule is left unchanged (modulo canonical loop regeneration).
+    /// the schedule is left unchanged.
     pub fn compute_at(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        self.transactional(|s| s.compute_at_impl(block, loop_ref))
-    }
-
-    fn compute_at_impl(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        let br = self.take_block(block)?;
-        if br.block.writes.len() != 1 {
-            return Err(ScheduleError::Precondition(format!(
-                "compute_at requires a single-output block, {} writes {} buffers",
-                br.block.name,
-                br.block.writes.len()
-            )));
-        }
-        let buffer = br.block.writes[0].buffer.clone();
-        let guard_shape = buffer.shape().to_vec();
-        let block_data = br.block.clone();
-        let loop_var = loop_ref.var().clone();
-        let result = self.rewrite_loop(loop_ref, |f: tir::For| {
-            let region = required_region(&f.body, &buffer, true, false).ok_or_else(|| {
+        let loop_var = loop_ref.var();
+        let nest = self.remove_block(block, |sch, br| {
+            if br.block.writes.len() != 1 {
+                return Err(ScheduleError::Precondition(format!(
+                    "compute_at requires a single-output block, {} writes {} buffers",
+                    br.block.name,
+                    br.block.writes.len()
+                )));
+            }
+            let buffer = &br.block.writes[0].buffer;
+            let f = find_loop(&sch.func.body, loop_var)
+                .ok_or_else(|| ScheduleError::LoopNotFound(loop_var.name().to_string()))?;
+            let region = required_region(&f.body, buffer, true, false).ok_or_else(|| {
                 ScheduleError::Precondition(format!(
                     "no consumer of {} under loop {}",
                     buffer.name(),
                     loop_var.name()
                 ))
             })?;
-            let nest = realize_over_region(&block_data, &region, &guard_shape)?;
-            Ok(Stmt::For(Box::new(tir::For {
-                body: Stmt::seq(vec![nest, f.body]),
-                ..f
-            })))
-        });
-        result?;
+            realize_over_region(&br.block, &region, buffer.shape())
+        })?;
+        // A consumer under the loop kept it from being pruned.
+        self.rewrite_loop(loop_ref, |s| {
+            let f = loop_mut(s);
+            f.body = Stmt::seq(vec![nest, std::mem::take(&mut f.body)]);
+            Ok(())
+        })?;
         self.record(TraceStep::new(
             "compute_at",
-            vec![
-                block.name().into(),
-                loop_ref.var().name().to_string().into(),
-            ],
+            vec![block.name().into(), loop_var.name().to_string().into()],
         ))
     }
 
@@ -490,30 +414,24 @@ impl Schedule {
     ///
     /// Fails symmetrically to [`Schedule::compute_at`].
     pub fn reverse_compute_at(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        self.transactional(|s| s.reverse_compute_at_impl(block, loop_ref))
-    }
-
-    fn reverse_compute_at_impl(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        let br = self.take_block(block)?;
-        let block_data = br.block.clone();
-        let loop_var = loop_ref.var().clone();
-        let read_buffers: Vec<Buffer> = br.block.reads.iter().map(|r| r.buffer.clone()).collect();
-        let out_shape: Vec<i64> = br.block.writes[0].buffer.shape().to_vec();
-        let result = self.rewrite_loop(loop_ref, |f: tir::For| {
-            let mut produced_region = None;
-            for b in &read_buffers {
-                if let Some(r) = required_region(&f.body, b, false, true) {
-                    produced_region = Some((b.clone(), r));
-                    break;
-                }
-            }
-            let (pbuf, region) = produced_region.ok_or_else(|| {
-                ScheduleError::Precondition(format!(
-                    "no producer for any input of {} under loop {}",
-                    block_data.name,
-                    loop_var.name()
-                ))
-            })?;
+        let loop_var = loop_ref.var();
+        let nest = self.remove_block(block, |sch, br| {
+            let block_data = &br.block;
+            let f = find_loop(&sch.func.body, loop_var)
+                .ok_or_else(|| ScheduleError::LoopNotFound(loop_var.name().to_string()))?;
+            let (pbuf, region) = block_data
+                .reads
+                .iter()
+                .find_map(|r| {
+                    required_region(&f.body, &r.buffer, false, true).map(|reg| (&r.buffer, reg))
+                })
+                .ok_or_else(|| {
+                    ScheduleError::Precondition(format!(
+                        "no producer for any input of {} under loop {}",
+                        block_data.name,
+                        loop_var.name()
+                    ))
+                })?;
             // The consumer must read pbuf at exactly its spatial iterators
             // (identity mapping) so the produced region carries over.
             let spatial_vars: Vec<&Var> = block_data
@@ -523,7 +441,7 @@ impl Schedule {
                 .map(|iv| &iv.var)
                 .collect();
             let reads_identity = block_data.reads.iter().any(|r| {
-                r.buffer == pbuf
+                &r.buffer == pbuf
                     && r.region.len() == spatial_vars.len()
                     && r.region
                         .iter()
@@ -537,19 +455,17 @@ impl Schedule {
                     pbuf.name()
                 )));
             }
-            let nest = realize_over_region(&block_data, &region, &out_shape)?;
-            Ok(Stmt::For(Box::new(tir::For {
-                body: Stmt::seq(vec![f.body, nest]),
-                ..f
-            })))
-        });
-        result?;
+            realize_over_region(block_data, &region, block_data.writes[0].buffer.shape())
+        })?;
+        // A producer under the loop kept it from being pruned.
+        self.rewrite_loop(loop_ref, |s| {
+            let f = loop_mut(s);
+            f.body = Stmt::seq(vec![std::mem::take(&mut f.body), nest]);
+            Ok(())
+        })?;
         self.record(TraceStep::new(
             "reverse_compute_at",
-            vec![
-                block.name().into(),
-                loop_ref.var().name().to_string().into(),
-            ],
+            vec![block.name().into(), loop_var.name().to_string().into()],
         ))
     }
 
@@ -561,38 +477,36 @@ impl Schedule {
     /// Fails when the block has reductions, multiple statements, or
     /// non-identity store indices.
     pub fn compute_inline(&mut self, block: &BlockRef) -> Result<()> {
-        self.transactional(|s| s.compute_inline_impl(block))
-    }
-
-    fn compute_inline_impl(&mut self, block: &BlockRef) -> Result<()> {
-        let br = self.take_block(block)?;
-        if br.block.is_reduction() {
-            return Err(ScheduleError::Precondition(
-                "compute_inline requires a spatial-only block".into(),
-            ));
-        }
-        let Stmt::Store {
-            buffer,
-            indices,
-            value,
-        } = (*br.block.body).clone()
-        else {
-            return Err(ScheduleError::Precondition(
-                "compute_inline requires a single-store body".into(),
-            ));
-        };
-        let iter_vars = br.block.iter_var_handles();
-        let identity = indices.len() == iter_vars.len()
-            && indices
-                .iter()
-                .zip(&iter_vars)
-                .all(|(e, v)| e.as_var() == Some(v));
-        if !identity {
-            return Err(ScheduleError::Precondition(format!(
-                "compute_inline requires identity store indices in block {}",
-                block.name()
-            )));
-        }
+        let (buffer, iter_vars, value) = self.remove_block(block, |_, br| {
+            if br.block.is_reduction() {
+                return Err(ScheduleError::Precondition(
+                    "compute_inline requires a spatial-only block".into(),
+                ));
+            }
+            let Stmt::Store {
+                buffer,
+                indices,
+                value,
+            } = &*br.block.body
+            else {
+                return Err(ScheduleError::Precondition(
+                    "compute_inline requires a single-store body".into(),
+                ));
+            };
+            let iter_vars = br.block.iter_var_handles();
+            let identity = indices.len() == iter_vars.len()
+                && indices
+                    .iter()
+                    .zip(&iter_vars)
+                    .all(|(e, v)| e.as_var() == Some(v));
+            if !identity {
+                return Err(ScheduleError::Precondition(format!(
+                    "compute_inline requires identity store indices in block {}",
+                    block.name()
+                )));
+            }
+            Ok((buffer.clone(), iter_vars, value.clone()))
+        })?;
         struct Inliner<'a> {
             buffer: &'a Buffer,
             iter_vars: &'a [Var],
@@ -636,11 +550,10 @@ impl Schedule {
             iter_vars: &iter_vars,
             template: &value,
         };
-        self.rewrite_body(|body| {
+        self.map_body(|body| {
             use tir::visit::StmtMutator as _;
-            let new_body = inliner.mutate_stmt(body);
-            Ok(drop_alloc(new_body, &buffer))
-        })?;
+            drop_alloc(inliner.mutate_stmt(body), &buffer)
+        });
         self.record(TraceStep::new("compute_inline", vec![block.name().into()]))
     }
 
@@ -654,60 +567,51 @@ impl Schedule {
     /// Fails when the consumer is not a pure elementwise epilogue or the
     /// producer reduces (the epilogue would apply to partial values).
     pub fn reverse_compute_inline(&mut self, block: &BlockRef) -> Result<()> {
-        self.transactional(|s| s.reverse_compute_inline_impl(block))
-    }
-
-    fn reverse_compute_inline_impl(&mut self, block: &BlockRef) -> Result<()> {
-        let br = self.take_block(block)?;
-        macro_rules! bail {
-            ($br:expr, $msg:expr) => {{
-                let _ = $br;
-                return Err(ScheduleError::Precondition($msg.into()));
-            }};
-        }
-        if br.block.is_reduction() {
-            bail!(br, "reverse_compute_inline requires a spatial block");
-        }
-        let Stmt::Store {
-            buffer: dst,
-            indices,
-            value,
-        } = (*br.block.body).clone()
-        else {
-            bail!(br, "reverse_compute_inline requires a single store");
-        };
-        let iter_vars = br.block.iter_var_handles();
-        let identity = indices.len() == iter_vars.len()
-            && indices
-                .iter()
-                .zip(&iter_vars)
-                .all(|(e, v)| e.as_var() == Some(v));
-        if !identity {
-            bail!(br, "consumer store indices must be identity");
-        }
-        let read_bufs: Vec<Buffer> = br.block.reads.iter().map(|r| r.buffer.clone()).collect();
-        if read_bufs.len() != 1 {
-            bail!(br, "consumer must read exactly one buffer");
-        }
-        let src = read_bufs[0].clone();
-        if src.shape() != dst.shape() {
-            bail!(br, "source and destination shapes must match");
-        }
-        // Reject reduction producers: the epilogue must only see the final
-        // value (decompose the reduction first).
-        let mut producer_reduces = false;
-        tir::visit::for_each_block_realize(&self.func.body, &mut |pbr| {
-            if pbr.block.writes.iter().any(|w| w.buffer == src) && pbr.block.is_reduction() {
-                producer_reduces = true;
+        let (src, dst, iter_vars, value) = self.remove_block(block, |sch, br| {
+            let fail = |msg: &str| Err(ScheduleError::Precondition(msg.into()));
+            if br.block.is_reduction() {
+                return fail("reverse_compute_inline requires a spatial block");
             }
-        });
-        if producer_reduces {
-            bail!(
-                br,
-                "reverse_compute_inline into a reduction producer is unsound; \
-                 use decompose_reduction first"
-            );
-        }
+            let Stmt::Store {
+                buffer: dst,
+                indices,
+                value,
+            } = &*br.block.body
+            else {
+                return fail("reverse_compute_inline requires a single store");
+            };
+            let iter_vars = br.block.iter_var_handles();
+            let identity = indices.len() == iter_vars.len()
+                && indices
+                    .iter()
+                    .zip(&iter_vars)
+                    .all(|(e, v)| e.as_var() == Some(v));
+            if !identity {
+                return fail("consumer store indices must be identity");
+            }
+            let [read] = br.block.reads.as_slice() else {
+                return fail("consumer must read exactly one buffer");
+            };
+            let src = &read.buffer;
+            if src.shape() != dst.shape() {
+                return fail("source and destination shapes must match");
+            }
+            // Reject reduction producers: the epilogue must only see the
+            // final value (decompose the reduction first).
+            let mut producer_reduces = false;
+            tir::visit::for_each_block_realize(&sch.func.body, &mut |pbr| {
+                if pbr.block.writes.iter().any(|w| &w.buffer == src) && pbr.block.is_reduction() {
+                    producer_reduces = true;
+                }
+            });
+            if producer_reduces {
+                return fail(
+                    "reverse_compute_inline into a reduction producer is unsound; \
+                     use decompose_reduction first",
+                );
+            }
+            Ok((src.clone(), dst.clone(), iter_vars, value.clone()))
+        })?;
         struct Rewriter<'a> {
             src: &'a Buffer,
             dst: &'a Buffer,
@@ -785,11 +689,10 @@ impl Schedule {
             iter_vars: &iter_vars,
             template: &value,
         };
-        self.rewrite_body(|body| {
+        self.map_body(|body| {
             use tir::visit::StmtMutator as _;
-            let new_body = rewriter.mutate_stmt(body);
-            Ok(drop_alloc(new_body, &src))
-        })?;
+            drop_alloc(rewriter.mutate_stmt(body), &src)
+        });
         self.record(TraceStep::new(
             "reverse_compute_inline",
             vec![block.name().into()],

@@ -11,7 +11,7 @@ use tir::simplify::simplify_stmt;
 use tir::visit::subst_stmt;
 use tir::{Expr, For, ForKind, Stmt, ThreadTag, Var};
 
-use crate::schedule::{LoopRef, Result, Schedule, ScheduleError};
+use crate::schedule::{find_first, loop_mut, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 /// Adds `conjunct` to the predicate of every block realize in `s`, without
@@ -111,7 +111,8 @@ impl Schedule {
         }
         let needs_guard = product != extent;
 
-        self.rewrite_loop(loop_ref, |f: For| {
+        self.rewrite_loop(loop_ref, |s| {
+            let f = loop_mut(s);
             let mut map = HashMap::new();
             map.insert(f.var.clone(), value.clone());
             let mut body = subst_stmt(&f.body, &map);
@@ -123,7 +124,8 @@ impl Schedule {
                 let kind = if k == 0 { f.kind } else { ForKind::Serial };
                 stmt = Stmt::For(Box::new(For::with_kind(var.clone(), *factor, kind, stmt)));
             }
-            Ok(simplify_stmt(&stmt))
+            *s = simplify_stmt(&stmt);
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "split",
@@ -157,23 +159,24 @@ impl Schedule {
         let total: i64 = extents.iter().product();
         let vars: Vec<Var> = loops.iter().map(|l| l.var().clone()).collect();
 
-        self.rewrite_loop(&loops[0].clone(), |outer: For| {
-            // Verify the perfect nest and collect the innermost body.
+        self.rewrite_loop(&loops[0], |s| {
+            // Verify the perfect nest and find the innermost body.
+            let outer = loop_mut(s);
             let mut kinds = vec![outer.kind];
-            let mut current = outer.body;
+            let mut current = &outer.body;
             let mut chain_vars = vec![outer.var.clone()];
             for l in &loops[1..] {
                 match current {
                     Stmt::For(f) if &f.var == l.var() => {
                         kinds.push(f.kind);
                         chain_vars.push(f.var.clone());
-                        current = f.body;
+                        current = &f.body;
                     }
                     other => {
                         return Err(ScheduleError::Precondition(format!(
                             "loops are not perfectly nested at {}: found {}",
                             l.var().name(),
-                            match &other {
+                            match other {
                                 Stmt::For(f) => format!("loop {}", f.var.name()),
                                 _ => "non-loop statement".to_string(),
                             }
@@ -200,12 +203,13 @@ impl Schedule {
                 map.insert(var.clone(), e);
                 div *= extents[k];
             }
-            let body = subst_stmt(&current, &map);
-            Ok(simplify_stmt(&Stmt::For(Box::new(For::serial(
+            let body = subst_stmt(current, &map);
+            *s = simplify_stmt(&Stmt::For(Box::new(For::serial(
                 fused.clone(),
                 total,
                 body,
-            )))))
+            ))));
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "fuse",
@@ -229,68 +233,39 @@ impl Schedule {
         // Find which of the referenced loops is outermost in the function.
         let target_vars: Vec<Var> = order.iter().map(|l| l.var().clone()).collect();
         let names: Vec<String> = target_vars.iter().map(|v| v.name().to_string()).collect();
-        // Locate the outermost: walk the body; the first For whose var is in
-        // target_vars is the chain head.
-        fn find_head(s: &Stmt, targets: &[Var]) -> Option<Var> {
-            match s {
-                Stmt::For(f) => {
-                    if targets.contains(&f.var) {
-                        Some(f.var.clone())
-                    } else {
-                        find_head(&f.body, targets)
-                    }
-                }
-                Stmt::Seq(v) => v.iter().find_map(|st| find_head(st, targets)),
-                Stmt::IfThenElse {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => find_head(then_branch, targets)
-                    .or_else(|| else_branch.as_ref().and_then(|e| find_head(e, targets))),
-                Stmt::BlockRealize(br) => {
-                    let from_init = br.block.init.as_ref().and_then(|i| find_head(i, targets));
-                    from_init.or_else(|| find_head(&br.block.body, targets))
-                }
-                _ => None,
-            }
-        }
-        let head = find_head(&self.func.body, &target_vars)
-            .ok_or_else(|| ScheduleError::LoopNotFound(names.join(", ")))?;
+        // The chain head is the first target loop in a pre-order walk.
+        let head = find_first(
+            &self.func.body,
+            &|s| matches!(s, Stmt::For(f) if target_vars.contains(&f.var)),
+        )
+        .and_then(Stmt::as_for)
+        .map(|f| LoopRef(f.var.clone()))
+        .ok_or_else(|| ScheduleError::LoopNotFound(names.join(", ")))?;
 
-        self.rewrite_loop(&LoopRef(head), |outer: For| {
-            // Collect the chain until all targets are found.
-            let mut chain: Vec<For> = Vec::new();
+        self.rewrite_loop(&head, |s| {
+            // Collect the chain down to the last target.
+            let mut chain: Vec<&For> = Vec::new();
             let mut found = 0usize;
-            let mut current = Stmt::For(Box::new(outer));
-            loop {
-                match current {
-                    Stmt::For(f) => {
-                        let f = *f;
-                        if target_vars.contains(&f.var) {
-                            found += 1;
-                        }
-                        let body = f.body.clone();
-                        chain.push(f);
-                        if found == target_vars.len() {
-                            current = body;
-                            break;
-                        }
-                        current = body;
-                    }
-                    _ => {
-                        return Err(ScheduleError::Precondition(format!(
-                            "loops {names:?} are not on a single nesting chain"
-                        )))
-                    }
+            let mut current = &*s;
+            while found < target_vars.len() {
+                let Stmt::For(f) = current else {
+                    return Err(ScheduleError::Precondition(format!(
+                        "loops {names:?} are not on a single nesting chain"
+                    )));
+                };
+                if target_vars.contains(&f.var) {
+                    found += 1;
                 }
+                chain.push(f);
+                current = &f.body;
             }
-            let innermost_body = current;
-            // Permute: positions of targets get the new order.
+            // Permute: positions of targets get the new order; the loop
+            // headers move, the bodies stay where they are.
             let mut order_iter = target_vars.iter();
-            let new_chain: Vec<&For> = chain
+            let headers: Vec<(Var, Expr, ForKind, tir::Annotations)> = chain
                 .iter()
                 .map(|f| {
-                    if target_vars.contains(&f.var) {
+                    let f = if target_vars.contains(&f.var) {
                         let next = order_iter.next().expect("counted above");
                         chain
                             .iter()
@@ -298,20 +273,22 @@ impl Schedule {
                             .expect("target on chain")
                     } else {
                         f
-                    }
+                    };
+                    (
+                        f.var.clone(),
+                        f.extent.clone(),
+                        f.kind,
+                        f.annotations.clone(),
+                    )
                 })
                 .collect();
-            let mut stmt = innermost_body;
-            for f in new_chain.into_iter().rev() {
-                stmt = Stmt::For(Box::new(For {
-                    var: f.var.clone(),
-                    extent: f.extent.clone(),
-                    kind: f.kind,
-                    body: stmt,
-                    annotations: f.annotations.clone(),
-                }));
+            let mut slot = s;
+            for header in headers {
+                let f = loop_mut(slot);
+                (f.var, f.extent, f.kind, f.annotations) = header;
+                slot = &mut f.body;
             }
-            Ok(stmt)
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "reorder",
@@ -320,9 +297,9 @@ impl Schedule {
     }
 
     fn set_loop_kind(&mut self, loop_ref: &LoopRef, kind: ForKind, prim: &str) -> Result<()> {
-        self.rewrite_loop(loop_ref, |mut f: For| {
-            f.kind = kind;
-            Ok(Stmt::For(Box::new(f)))
+        self.rewrite_loop(loop_ref, |s| {
+            loop_mut(s).kind = kind;
+            Ok(())
         })?;
         self.record(TraceStep::new(
             prim,
@@ -357,15 +334,24 @@ impl Schedule {
         self.set_loop_kind(loop_ref, ForKind::Unrolled, "unroll")
     }
 
-    /// Binds a loop to a GPU thread axis.
+    /// Binds a serial loop to a GPU thread axis.
     ///
     /// # Errors
     ///
-    /// Fails when the loop is missing.
+    /// Fails when the loop is missing or not serial (already bound,
+    /// parallel, vectorized or unrolled).
     pub fn bind(&mut self, loop_ref: &LoopRef, tag: ThreadTag) -> Result<()> {
-        self.rewrite_loop(loop_ref, |mut f: For| {
+        self.rewrite_loop(loop_ref, |s| {
+            let f = loop_mut(s);
+            if f.kind != ForKind::Serial {
+                return Err(ScheduleError::Precondition(format!(
+                    "bind requires a serial loop, {} is {:?}",
+                    f.var.name(),
+                    f.kind
+                )));
+            }
             f.kind = ForKind::ThreadBinding(tag);
-            Ok(Stmt::For(Box::new(f)))
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "bind",
@@ -382,19 +368,14 @@ impl Schedule {
     ///
     /// Fails when the loop is missing.
     pub fn annotate(&mut self, loop_ref: &LoopRef, key: &str, value: tir::AnnValue) -> Result<()> {
-        let key_owned = key.to_string();
-        let value_copy = value.clone();
-        self.rewrite_loop(loop_ref, |mut f: For| {
-            f.annotations.insert(key_owned, value);
-            Ok(Stmt::For(Box::new(f)))
+        let arg = ann_to_arg(&value);
+        self.rewrite_loop(loop_ref, |s| {
+            loop_mut(s).annotations.insert(key.to_string(), value);
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "annotate",
-            vec![
-                loop_ref.var().name().to_string().into(),
-                key.into(),
-                ann_to_arg(&value_copy),
-            ],
+            vec![loop_ref.var().name().to_string().into(), key.into(), arg],
         ))
     }
 }

@@ -8,7 +8,7 @@ use tir::simplify::simplify_expr;
 use tir::visit::{collect_vars_expr, subst_expr, subst_stmt};
 use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var};
 
-use crate::schedule::{BlockRef, LoopRef, Result, Schedule, ScheduleError};
+use crate::schedule::{realize_mut, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 impl Schedule {
@@ -144,13 +144,14 @@ impl Schedule {
         .in_loops(kept_loops);
 
         // Remove init from the original block.
-        self.rewrite_block(block, |mut br: BlockRealize| {
-            br.block.init = None;
-            Ok(Stmt::BlockRealize(Box::new(br)))
+        self.rewrite_block(block, |s| {
+            realize_mut(s).block.init = None;
+            Ok(())
         })?;
         // Insert the init nest before the pivot loop.
-        self.rewrite_loop(loop_ref, |f: tir::For| {
-            Ok(Stmt::seq(vec![init_nest, Stmt::For(Box::new(f))]))
+        self.rewrite_loop(loop_ref, |s| {
+            *s = Stmt::seq(vec![init_nest, std::mem::take(s)]);
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "decompose_reduction",
@@ -255,10 +256,7 @@ impl Schedule {
         init_block: &BlockRef,
         update_block: &BlockRef,
     ) -> Result<()> {
-        let init_name = init_block.name().to_string();
-        let update_name = update_block.name().to_string();
-        self.transactional(|sch| {
-            let init_br = sch.take_block(&BlockRef(init_name.clone()))?;
+        let init_stmt = self.remove_block(init_block, |sch, init_br| {
             if init_br.block.is_reduction() || init_br.block.init.is_some() {
                 return Err(ScheduleError::Precondition(
                     "init block must be spatial-only without its own init".into(),
@@ -268,7 +266,7 @@ impl Schedule {
                 buffer: init_buf,
                 indices: init_idx,
                 value: init_value,
-            } = (*init_br.block.body).clone()
+            } = &*init_br.block.body
             else {
                 return Err(ScheduleError::Precondition(
                     "init block body must be a single store".into(),
@@ -285,54 +283,57 @@ impl Schedule {
                     "init block must store at its own iterator variables".into(),
                 ));
             }
-            sch.rewrite_block(&BlockRef(update_name.clone()), |mut br| {
-                if br.block.init.is_some() {
-                    return Err(ScheduleError::Precondition(format!(
-                        "update block {update_name} already has an init"
-                    )));
-                }
-                // The update block must reduce into the same buffer at its
-                // spatial iterators.
-                let Stmt::Store {
-                    buffer, indices, ..
-                } = &*br.block.body
-                else {
-                    return Err(ScheduleError::Precondition(
-                        "update block body must be a single store".into(),
-                    ));
-                };
-                if buffer != &init_buf {
-                    return Err(ScheduleError::Precondition(format!(
-                        "init writes {} but the update block reduces into {}",
-                        init_buf.name(),
-                        buffer.name()
-                    )));
-                }
-                // Map init iterator variables to the update block's store
-                // indices positionally.
-                if indices.len() != init_vars.len() {
-                    return Err(ScheduleError::Precondition(
-                        "init/update output ranks differ".into(),
-                    ));
-                }
-                let map: std::collections::HashMap<Var, Expr> = init_vars
-                    .iter()
-                    .cloned()
-                    .zip(indices.iter().cloned())
-                    .collect();
-                let init_stmt = Stmt::Store {
-                    buffer: init_buf.clone(),
-                    indices: indices.clone(),
-                    value: tir::visit::subst_expr(&init_value, &map),
-                };
-                br.block.init = Some(Box::new(init_stmt));
-                Ok(Stmt::BlockRealize(Box::new(br)))
-            })?;
-            sch.record(TraceStep::new(
-                "merge_reduction",
-                vec![init_name.clone().into(), update_name.clone().into()],
-            ))
-        })
+            let update_name = update_block.name();
+            let br = tir::visit::find_block(&sch.func.body, update_name)
+                .ok_or_else(|| ScheduleError::BlockNotFound(update_name.to_string()))?;
+            if br.block.init.is_some() {
+                return Err(ScheduleError::Precondition(format!(
+                    "update block {update_name} already has an init"
+                )));
+            }
+            // The update block must reduce into the same buffer at its
+            // spatial iterators.
+            let Stmt::Store {
+                buffer, indices, ..
+            } = &*br.block.body
+            else {
+                return Err(ScheduleError::Precondition(
+                    "update block body must be a single store".into(),
+                ));
+            };
+            if buffer != init_buf {
+                return Err(ScheduleError::Precondition(format!(
+                    "init writes {} but the update block reduces into {}",
+                    init_buf.name(),
+                    buffer.name()
+                )));
+            }
+            // Map init iterator variables to the update block's store
+            // indices positionally.
+            if indices.len() != init_vars.len() {
+                return Err(ScheduleError::Precondition(
+                    "init/update output ranks differ".into(),
+                ));
+            }
+            let map: HashMap<Var, Expr> = init_vars
+                .iter()
+                .cloned()
+                .zip(indices.iter().cloned())
+                .collect();
+            Ok(Stmt::Store {
+                buffer: init_buf.clone(),
+                indices: indices.clone(),
+                value: subst_expr(init_value, &map),
+            })
+        })?;
+        self.rewrite_block(update_block, |s| {
+            realize_mut(s).block.init = Some(Box::new(init_stmt));
+            Ok(())
+        })?;
+        self.record(TraceStep::new(
+            "merge_reduction",
+            vec![init_block.name().into(), update_block.name().into()],
+        ))
     }
 }
 

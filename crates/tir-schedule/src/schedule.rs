@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use tir::{ForKind, PrimFunc, Stmt, Var};
+use tir::{BlockRealize, For, ForKind, PrimFunc, Stmt, Var};
 
 use crate::trace::{Trace, TraceStep};
 
@@ -77,6 +77,16 @@ pub type Result<T> = std::result::Result<T, ScheduleError>;
 
 /// A schedulable program with its transformation trace.
 ///
+/// # Rollback contract
+///
+/// A primitive either succeeds, rewriting the program and appending one
+/// step to the trace, or fails and leaves both exactly as they were. Every
+/// primitive makes its checks before its first edit, so a failure needs no
+/// backup, and an edit touches only the subtree it rewrites: the target is
+/// found by `&mut` navigation, not by rebuilding the tree around it. The
+/// one whole-program copy is the auto-verify snapshot (see
+/// [`Schedule::set_auto_verify`]), which exists only while that gate is on.
+///
 /// # Examples
 ///
 /// ```
@@ -101,8 +111,11 @@ pub struct Schedule {
     /// Defaults to on in debug builds (so the test suite exercises it) and
     /// off in release builds (opt in with [`Schedule::set_auto_verify`]).
     auto_verify: bool,
-    /// Body snapshot taken by the first structural rewrite since the last
-    /// committed primitive; used to roll back when auto-verify rejects.
+    /// The body as it was before the in-flight primitive's first edit,
+    /// kept only under auto-verify: the analyzer runs after the rewrite,
+    /// so a rejection has nothing else to roll back to. Cleared when a
+    /// primitive commits. A primitive that fails leaves the body as it
+    /// was, so a snapshot it leaves behind still matches the body.
     undo: Option<Stmt>,
 }
 
@@ -143,17 +156,10 @@ impl Schedule {
     /// Turns the after-every-primitive analyzer gate on or off. Tests that
     /// deliberately build illegal schedules (to exercise downstream
     /// validation) turn it off; release users can turn it on to debug a
-    /// schedule pipeline.
+    /// schedule pipeline. While it is on, each primitive copies the whole
+    /// body before its first edit so that a rejected rewrite can be undone.
     pub fn set_auto_verify(&mut self, on: bool) {
         self.auto_verify = on;
-    }
-
-    /// Remembers `backup` as the rollback point for the in-flight primitive
-    /// (first snapshot since the last commit wins).
-    fn stash_undo(&mut self, backup: Stmt) {
-        if self.auto_verify && self.undo.is_none() {
-            self.undo = Some(backup);
-        }
     }
 
     /// The current program.
@@ -191,20 +197,36 @@ impl Schedule {
         Ok(())
     }
 
-    /// Runs `f`; on error, restores the program and trace to their prior
-    /// state so failed primitives leave the schedule untouched.
-    pub(crate) fn transactional<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        let backup = self.func.clone();
-        let trace_len = self.trace.len();
-        let result = f(self);
-        self.undo = None;
-        match result {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.func = backup;
-                self.trace.truncate(trace_len);
-                Err(e)
-            }
+    /// The body, for a primitive about to edit it. Every edit goes through
+    /// here; under auto-verify the first one since the last commit takes
+    /// the rollback snapshot.
+    pub(crate) fn body_mut(&mut self) -> &mut Stmt {
+        if self.auto_verify && self.undo.is_none() {
+            self.undo = Some(self.func.body.clone());
+        }
+        &mut self.func.body
+    }
+
+    /// Replaces the body with `f(body)`: the path for whole-program passes
+    /// that cannot fail (signature refresh, inlining, pruning), which
+    /// therefore need no backup.
+    pub(crate) fn map_body(&mut self, f: impl FnOnce(Stmt) -> Stmt) {
+        let body = self.body_mut();
+        *body = f(std::mem::take(body));
+    }
+
+    /// The root block, for a primitive about to edit it.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the function body does not follow the root-block
+    /// convention.
+    pub(crate) fn root_mut(&mut self) -> Result<&mut tir::Block> {
+        match self.body_mut() {
+            Stmt::BlockRealize(root) => Ok(&mut root.block),
+            other => Err(ScheduleError::Precondition(format!(
+                "function body is not a root block: {other:?}"
+            ))),
         }
     }
 
@@ -246,53 +268,25 @@ impl Schedule {
     ///
     /// Returns [`ScheduleError::BlockNotFound`] if the block is absent.
     pub fn loop_infos(&self, block: &BlockRef) -> Result<Vec<LoopInfo>> {
-        fn walk(s: &Stmt, name: &str, stack: &mut Vec<LoopInfo>, out: &mut Option<Vec<LoopInfo>>) {
-            if out.is_some() {
-                return;
-            }
+        let mut path = Vec::new();
+        if !path_to(&self.func.body, &|s| is_block(s, block.name()), &mut path) {
+            return Err(ScheduleError::BlockNotFound(block.name().to_string()));
+        }
+        let mut infos = Vec::new();
+        let mut s = &self.func.body;
+        for &i in &path {
             match s {
-                Stmt::For(f) => {
-                    stack.push(LoopInfo {
-                        var: f.var.clone(),
-                        extent: f.extent.as_int().unwrap_or(-1),
-                        kind: f.kind,
-                    });
-                    walk(&f.body, name, stack, out);
-                    stack.pop();
-                }
-                Stmt::Seq(v) => {
-                    for st in v {
-                        walk(st, name, stack, out);
-                    }
-                }
-                Stmt::IfThenElse {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, name, stack, out);
-                    if let Some(e) = else_branch {
-                        walk(e, name, stack, out);
-                    }
-                }
-                Stmt::BlockRealize(br) => {
-                    if br.block.name == name {
-                        *out = Some(stack.clone());
-                        return;
-                    }
-                    let mut fresh = Vec::new();
-                    if let Some(init) = &br.block.init {
-                        walk(init, name, &mut fresh, out);
-                    }
-                    walk(&br.block.body, name, &mut fresh, out);
-                }
+                Stmt::For(f) => infos.push(LoopInfo {
+                    var: f.var.clone(),
+                    extent: f.extent.as_int().unwrap_or(-1),
+                    kind: f.kind,
+                }),
+                Stmt::BlockRealize(_) => infos.clear(),
                 _ => {}
             }
+            s = child(s, i).expect("path_to yields existing children");
         }
-        let mut stack = Vec::new();
-        let mut out = None;
-        walk(&self.func.body, block.name(), &mut stack, &mut out);
-        out.ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))
+        Ok(infos)
     }
 
     /// Extent of a loop.
@@ -301,63 +295,77 @@ impl Schedule {
     ///
     /// Returns [`ScheduleError::LoopNotFound`] if absent or non-constant.
     pub fn loop_extent(&self, loop_ref: &LoopRef) -> Result<i64> {
-        let mut found = None;
-        find_loop(&self.func.body, loop_ref.var(), &mut |f| {
-            found = f.extent.as_int();
-        });
-        found.ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
+        find_loop(&self.func.body, loop_ref.var())
+            .and_then(|f| f.extent.as_int())
+            .ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
     }
 
-    /// Rewrites the loop identified by `loop_ref` with `f`. Used by every
-    /// loop-level primitive.
+    /// Rewrites, in place, the loop identified by `loop_ref`. `f` gets the
+    /// statement holding the loop (see [`loop_mut`]) and may edit or
+    /// replace it; it must make every check before its first edit, so that
+    /// an `Err` leaves the program untouched. Sequences on the way down are
+    /// re-flattened afterwards, as [`Stmt::seq`] would build them.
     pub(crate) fn rewrite_loop(
         &mut self,
         loop_ref: &LoopRef,
-        f: impl FnOnce(tir::For) -> Result<Stmt>,
+        f: impl FnOnce(&mut Stmt) -> Result<()>,
     ) -> Result<()> {
-        let backup = self.func.body.clone();
-        let body = std::mem::replace(&mut self.func.body, Stmt::Seq(vec![]));
-        let mut f = Some(f);
-        match rewrite_loop_in(body, loop_ref.var(), &mut f) {
-            Ok((new_body, true)) => {
-                self.func.body = new_body;
-                self.stash_undo(backup);
-                Ok(())
-            }
-            Ok((_, false)) => {
-                self.func.body = backup;
-                Err(ScheduleError::LoopNotFound(
-                    loop_ref.var().name().to_string(),
-                ))
-            }
-            Err(e) => {
-                self.func.body = backup;
-                Err(e)
-            }
-        }
+        let var = loop_ref.var();
+        self.rewrite_first(&|s| is_loop(s, var), f)
+            .unwrap_or_else(|| Err(ScheduleError::LoopNotFound(var.name().to_string())))
     }
 
-    /// Rewrites the block realize identified by `block` with `f`.
+    /// Rewrites, in place, the realize of `block` (see [`realize_mut`]),
+    /// under the same contract as [`Schedule::rewrite_loop`].
     pub(crate) fn rewrite_block(
         &mut self,
         block: &BlockRef,
-        f: impl FnOnce(tir::BlockRealize) -> Result<Stmt>,
+        f: impl FnOnce(&mut Stmt) -> Result<()>,
     ) -> Result<()> {
-        let backup = self.func.body.clone();
-        let body = std::mem::replace(&mut self.func.body, Stmt::Seq(vec![]));
-        let mut f = Some(f);
-        match rewrite_block_in(body, block.name(), &mut f) {
-            Ok((new_body, true)) => {
-                self.func.body = new_body;
-                self.stash_undo(backup);
-                Ok(())
-            }
-            Ok((_, false)) => {
-                self.func.body = backup;
-                Err(ScheduleError::BlockNotFound(block.name().to_string()))
+        self.rewrite_first(&|s| is_block(s, block.name()), f)
+            .unwrap_or_else(|| Err(ScheduleError::BlockNotFound(block.name().to_string())))
+    }
+
+    /// Runs `f` on the first statement, in pre-order, that `hit` accepts;
+    /// `None` when there is none.
+    fn rewrite_first(
+        &mut self,
+        hit: &dyn Fn(&Stmt) -> bool,
+        f: impl FnOnce(&mut Stmt) -> Result<()>,
+    ) -> Option<Result<()>> {
+        let mut path = Vec::new();
+        if !path_to(&self.func.body, hit, &mut path) {
+            return None;
+        }
+        Some(rewrite_at(self.body_mut(), &path, f))
+    }
+
+    /// Cuts the realize of `block` out of the program and runs `check` on
+    /// the realize and the program that remains. When `check` fails, the
+    /// realize goes back into the slot it left (an empty statement held
+    /// it), so the program is untouched. When it passes, the loops the cut
+    /// left empty are pruned and `check`'s value is returned.
+    pub(crate) fn remove_block<T>(
+        &mut self,
+        block: &BlockRef,
+        check: impl FnOnce(&Self, &BlockRealize) -> Result<T>,
+    ) -> Result<T> {
+        let mut path = Vec::new();
+        if !path_to(&self.func.body, &|s| is_block(s, block.name()), &mut path) {
+            return Err(ScheduleError::BlockNotFound(block.name().to_string()));
+        }
+        let slot = at_path(self.body_mut(), &path);
+        let br = match std::mem::take(slot) {
+            Stmt::BlockRealize(br) => br,
+            _ => unreachable!("path_to stopped at the block"),
+        };
+        match check(self, &br) {
+            Ok(value) => {
+                self.map_body(crate::compute_location::prune_empty);
+                Ok(value)
             }
             Err(e) => {
-                self.func.body = backup;
+                *at_path(&mut self.func.body, &path) = Stmt::BlockRealize(br);
                 Err(e)
             }
         }
@@ -371,7 +379,10 @@ impl Schedule {
     ///
     /// Fails when the loop is missing.
     pub fn replace_loop_subtree(&mut self, loop_ref: &LoopRef, stmt: Stmt) -> Result<()> {
-        self.rewrite_loop(loop_ref, |_| Ok(stmt))
+        self.rewrite_loop(loop_ref, |s| {
+            *s = stmt;
+            Ok(())
+        })
     }
 
     /// Block names contained in the subtree rooted at `loop_ref`.
@@ -380,11 +391,9 @@ impl Schedule {
     ///
     /// Fails when the loop is missing.
     pub fn blocks_under_loop(&self, loop_ref: &LoopRef) -> Result<Vec<String>> {
-        let mut names = None;
-        find_loop(&self.func.body, loop_ref.var(), &mut |f| {
-            names = Some(tir::visit::block_names(&f.body));
-        });
-        names.ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
+        find_loop(&self.func.body, loop_ref.var())
+            .map(|f| tir::visit::block_names(&f.body))
+            .ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
     }
 
     /// Finds a buffer by name among parameters, allocations and accessed
@@ -419,7 +428,8 @@ impl Schedule {
     /// Fails when the function body does not follow the root-block
     /// convention.
     pub fn alloc_buffer_at_root(&mut self, buffer: tir::Buffer) -> Result<()> {
-        self.alloc_at_root(buffer)
+        self.root_mut()?.alloc_buffers.push(buffer);
+        Ok(())
     }
 
     /// Attaches an annotation to a block.
@@ -433,19 +443,17 @@ impl Schedule {
         key: &str,
         value: tir::AnnValue,
     ) -> Result<()> {
-        let key_owned = key.to_string();
-        let value_copy = value.clone();
-        self.rewrite_block(block, |mut br: tir::BlockRealize| {
-            br.block.annotations.insert(key_owned, value);
-            Ok(Stmt::BlockRealize(Box::new(br)))
+        let arg = crate::loop_transform::ann_to_arg(&value);
+        self.rewrite_block(block, |s| {
+            realize_mut(s)
+                .block
+                .annotations
+                .insert(key.to_string(), value);
+            Ok(())
         })?;
         self.record(TraceStep::new(
             "annotate_block",
-            vec![
-                block.name().into(),
-                key.into(),
-                crate::loop_transform::ann_to_arg(&value_copy),
-            ],
+            vec![block.name().into(), key.into(), arg],
         ))
     }
 
@@ -454,238 +462,138 @@ impl Schedule {
     /// fuse derive them from their inputs), which makes recorded traces
     /// replayable on freshly built programs.
     pub fn find_loop_by_name(&self, name: &str) -> Option<LoopRef> {
-        fn walk(s: &Stmt, name: &str, out: &mut Option<Var>) {
-            if out.is_some() {
-                return;
-            }
-            match s {
-                Stmt::For(f) => {
-                    if f.var.name() == name {
-                        *out = Some(f.var.clone());
-                        return;
-                    }
-                    walk(&f.body, name, out);
-                }
-                Stmt::Seq(v) => v.iter().for_each(|st| walk(st, name, out)),
-                Stmt::IfThenElse {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, name, out);
-                    if let Some(e) = else_branch {
-                        walk(e, name, out);
-                    }
-                }
-                Stmt::BlockRealize(br) => {
-                    if let Some(init) = &br.block.init {
-                        walk(init, name, out);
-                    }
-                    walk(&br.block.body, name, out);
-                }
-                _ => {}
-            }
-        }
-        let mut out = None;
-        walk(&self.func.body, name, &mut out);
-        out.map(LoopRef)
-    }
-
-    /// Replaces the whole function body (used by global transformations).
-    pub(crate) fn rewrite_body(&mut self, f: impl FnOnce(Stmt) -> Result<Stmt>) -> Result<()> {
-        let backup = self.func.body.clone();
-        let body = std::mem::replace(&mut self.func.body, Stmt::Seq(vec![]));
-        match f(body) {
-            Ok(new_body) => {
-                self.func.body = new_body;
-                self.stash_undo(backup);
-                Ok(())
-            }
-            Err(e) => {
-                self.func.body = backup;
-                Err(e)
-            }
+        match find_first(
+            &self.func.body,
+            &|s| matches!(s, Stmt::For(f) if f.var.name() == name),
+        ) {
+            Some(Stmt::For(f)) => Some(LoopRef(f.var.clone())),
+            _ => None,
         }
     }
 }
 
-/// Calls `visit` on the `For` node with the given variable, if present.
-pub(crate) fn find_loop(s: &Stmt, var: &Var, visit: &mut impl FnMut(&tir::For)) {
+/// The loop in the statement [`Schedule::rewrite_loop`] hands its closure.
+pub(crate) fn loop_mut(s: &mut Stmt) -> &mut For {
     match s {
-        Stmt::For(f) => {
-            if &f.var == var {
-                visit(f);
-            } else {
-                find_loop(&f.body, var, visit);
-            }
-        }
-        Stmt::Seq(v) => {
-            for st in v {
-                find_loop(st, var, visit);
-            }
-        }
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            find_loop(then_branch, var, visit);
-            if let Some(e) = else_branch {
-                find_loop(e, var, visit);
-            }
-        }
-        Stmt::BlockRealize(br) => {
-            if let Some(init) = &br.block.init {
-                find_loop(init, var, visit);
-            }
-            find_loop(&br.block.body, var, visit);
-        }
-        _ => {}
+        Stmt::For(f) => f,
+        _ => unreachable!("rewrite_loop targets a loop"),
     }
 }
 
-type LoopRewriter<'a> = &'a mut Option<Box<dyn FnOnce(tir::For) -> Result<Stmt> + 'a>>;
-
-fn rewrite_loop_in(
-    s: Stmt,
-    var: &Var,
-    f: &mut Option<impl FnOnce(tir::For) -> Result<Stmt>>,
-) -> Result<(Stmt, bool)> {
-    if f.is_none() {
-        return Ok((s, false));
-    }
+/// The realize in the statement [`Schedule::rewrite_block`] hands its
+/// closure.
+pub(crate) fn realize_mut(s: &mut Stmt) -> &mut BlockRealize {
     match s {
-        Stmt::For(fr) => {
-            if &fr.var == var {
-                let func = f.take().expect("checked above");
-                return Ok((func(*fr)?, true));
-            }
-            let fr = *fr;
-            let (body, applied) = rewrite_loop_in(fr.body, var, f)?;
-            Ok((Stmt::For(Box::new(tir::For { body, ..fr })), applied))
-        }
-        Stmt::Seq(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            let mut any = false;
-            for st in v {
-                let (st, applied) = rewrite_loop_in(st, var, f)?;
-                any |= applied;
-                out.push(st);
-            }
-            Ok((Stmt::seq(out), any))
-        }
-        Stmt::IfThenElse {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let (t, mut any) = rewrite_loop_in(*then_branch, var, f)?;
-            let e = match else_branch {
-                Some(e) => {
-                    let (e, applied) = rewrite_loop_in(*e, var, f)?;
-                    any |= applied;
-                    Some(Box::new(e))
-                }
-                None => None,
-            };
-            Ok((
-                Stmt::IfThenElse {
-                    cond,
-                    then_branch: Box::new(t),
-                    else_branch: e,
-                },
-                any,
-            ))
-        }
-        Stmt::BlockRealize(br) => {
-            let mut br = *br;
-            let mut any = false;
-            if let Some(init) = br.block.init {
-                let (init, applied) = rewrite_loop_in(*init, var, f)?;
-                any |= applied;
-                br.block.init = Some(Box::new(init));
-            }
-            let (body, applied) = rewrite_loop_in(*br.block.body, var, f)?;
-            any |= applied;
-            br.block.body = Box::new(body);
-            Ok((Stmt::BlockRealize(Box::new(br)), any))
-        }
-        other => Ok((other, false)),
+        Stmt::BlockRealize(br) => br,
+        _ => unreachable!("rewrite_block targets a block realize"),
     }
 }
 
-fn rewrite_block_in(
-    s: Stmt,
-    name: &str,
-    f: &mut Option<impl FnOnce(tir::BlockRealize) -> Result<Stmt>>,
-) -> Result<(Stmt, bool)> {
-    if f.is_none() {
-        return Ok((s, false));
-    }
+fn is_loop(s: &Stmt, var: &Var) -> bool {
+    matches!(s, Stmt::For(f) if &f.var == var)
+}
+
+fn is_block(s: &Stmt, name: &str) -> bool {
+    matches!(s, Stmt::BlockRealize(br) if br.block.name == name)
+}
+
+/// How many child slots `s` has (see [`child`]).
+fn arity(s: &Stmt) -> usize {
     match s {
-        Stmt::For(fr) => {
-            let fr = *fr;
-            let (body, applied) = rewrite_block_in(fr.body, name, f)?;
-            Ok((Stmt::For(Box::new(tir::For { body, ..fr })), applied))
-        }
-        Stmt::Seq(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            let mut any = false;
-            for st in v {
-                let (st, applied) = rewrite_block_in(st, name, f)?;
-                any |= applied;
-                out.push(st);
-            }
-            Ok((Stmt::seq(out), any))
-        }
-        Stmt::IfThenElse {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let (t, mut any) = rewrite_block_in(*then_branch, name, f)?;
-            let e = match else_branch {
-                Some(e) => {
-                    let (e, applied) = rewrite_block_in(*e, name, f)?;
-                    any |= applied;
-                    Some(Box::new(e))
-                }
-                None => None,
-            };
-            Ok((
-                Stmt::IfThenElse {
-                    cond,
-                    then_branch: Box::new(t),
-                    else_branch: e,
-                },
-                any,
-            ))
-        }
-        Stmt::BlockRealize(br) => {
-            if br.block.name == name {
-                let func = f.take().expect("checked above");
-                return Ok((func(*br)?, true));
-            }
-            let mut br = *br;
-            let mut any = false;
-            if let Some(init) = br.block.init {
-                let (init, applied) = rewrite_block_in(*init, name, f)?;
-                any |= applied;
-                br.block.init = Some(Box::new(init));
-            }
-            let (body, applied) = rewrite_block_in(*br.block.body, name, f)?;
-            any |= applied;
-            br.block.body = Box::new(body);
-            Ok((Stmt::BlockRealize(Box::new(br)), any))
-        }
-        other => Ok((other, false)),
+        Stmt::For(_) => 1,
+        Stmt::Seq(v) => v.len(),
+        Stmt::IfThenElse { .. } | Stmt::BlockRealize(_) => 2,
+        _ => 0,
     }
 }
 
-// Silence the unused-alias lint on older toolchains where the helper alias
-// is only used in signatures.
-#[allow(dead_code)]
-fn _assert_alias(_: LoopRewriter<'_>) {}
+/// The statement in child slot `i` of `s`, in pre-order: a loop's body, a
+/// sequence's items, a branch's then/else, a block's init/body. `None` for
+/// an absent else or init.
+fn child(s: &Stmt, i: usize) -> Option<&Stmt> {
+    match (s, i) {
+        (Stmt::For(f), 0) => Some(&f.body),
+        (Stmt::Seq(v), i) => v.get(i),
+        (Stmt::IfThenElse { then_branch, .. }, 0) => Some(then_branch),
+        (Stmt::IfThenElse { else_branch, .. }, 1) => else_branch.as_deref(),
+        (Stmt::BlockRealize(br), 0) => br.block.init.as_deref(),
+        (Stmt::BlockRealize(br), 1) => Some(&br.block.body),
+        _ => None,
+    }
+}
+
+/// [`child`], mutably.
+fn child_mut(s: &mut Stmt, i: usize) -> Option<&mut Stmt> {
+    match (s, i) {
+        (Stmt::For(f), 0) => Some(&mut f.body),
+        (Stmt::Seq(v), i) => v.get_mut(i),
+        (Stmt::IfThenElse { then_branch, .. }, 0) => Some(then_branch),
+        (Stmt::IfThenElse { else_branch, .. }, 1) => else_branch.as_deref_mut(),
+        (Stmt::BlockRealize(br), 0) => br.block.init.as_deref_mut(),
+        (Stmt::BlockRealize(br), 1) => Some(&mut br.block.body),
+        _ => None,
+    }
+}
+
+/// Appends to `path` the child slots leading from `s` to the first
+/// statement, in pre-order, that `hit` accepts. Returns whether there is
+/// one (`path` is left as it was when there is not).
+fn path_to(s: &Stmt, hit: &dyn Fn(&Stmt) -> bool, path: &mut Vec<usize>) -> bool {
+    if hit(s) {
+        return true;
+    }
+    for i in 0..arity(s) {
+        if let Some(c) = child(s, i) {
+            path.push(i);
+            if path_to(c, hit, path) {
+                return true;
+            }
+            path.pop();
+        }
+    }
+    false
+}
+
+/// The first statement, in pre-order, that `hit` accepts.
+pub(crate) fn find_first<'a>(s: &'a Stmt, hit: &dyn Fn(&Stmt) -> bool) -> Option<&'a Stmt> {
+    if hit(s) {
+        return Some(s);
+    }
+    (0..arity(s))
+        .filter_map(|i| child(s, i))
+        .find_map(|c| find_first(c, hit))
+}
+
+/// The loop with the given variable, if present.
+pub(crate) fn find_loop<'a>(s: &'a Stmt, var: &Var) -> Option<&'a For> {
+    find_first(s, &|s| is_loop(s, var)).and_then(Stmt::as_for)
+}
+
+/// The statement at `path` below `s`.
+fn at_path<'a>(s: &'a mut Stmt, path: &[usize]) -> &'a mut Stmt {
+    path.iter().fold(s, |s, &i| {
+        child_mut(s, i).expect("path_to yields existing children")
+    })
+}
+
+/// Runs `f` on the statement at `path` below `s`. After a rewrite, every
+/// sequence on the path is re-flattened (a sequence the rewrite produced
+/// merges into its parent, a one-item sequence becomes its item), so the
+/// tree has the shape building it anew with [`Stmt::seq`] would give.
+fn rewrite_at(s: &mut Stmt, path: &[usize], f: impl FnOnce(&mut Stmt) -> Result<()>) -> Result<()> {
+    let Some((&i, rest)) = path.split_first() else {
+        return f(s);
+    };
+    rewrite_at(
+        child_mut(s, i).expect("path_to yields existing children"),
+        rest,
+        f,
+    )?;
+    if let Stmt::Seq(v) = s {
+        *s = Stmt::seq(std::mem::take(v));
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {
@@ -721,8 +629,11 @@ mod tests {
         let loops = sch.get_loops(&block).expect("loops");
         // Replace the innermost loop with an empty sequence (nonsense, but
         // exercises the rewriter).
-        sch.rewrite_loop(&loops[2], |_| Ok(Stmt::Seq(vec![])))
-            .expect("rewrite");
+        sch.rewrite_loop(&loops[2], |s| {
+            *s = Stmt::Seq(vec![]);
+            Ok(())
+        })
+        .expect("rewrite");
         assert!(sch.get_loops(&block).is_err(), "block C should be gone");
     }
 }

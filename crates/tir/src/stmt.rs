@@ -382,6 +382,14 @@ pub enum Stmt {
     BlockRealize(Box<BlockRealize>),
 }
 
+/// The empty sequence: a statement that does nothing. Lets rewrites move a
+/// subtree out of its slot with [`std::mem::take`].
+impl Default for Stmt {
+    fn default() -> Self {
+        Stmt::Seq(Vec::new())
+    }
+}
+
 impl Stmt {
     /// Builds a store statement, checking index rank.
     ///
