@@ -144,7 +144,7 @@ mod tests {
         });
         let s2 = compute("C", &c, |iv| Expr::Call {
             name: "exp".into(),
-            args: vec![b.load(iv.iter().map(Expr::from).collect())],
+            args: vec![b.load(iv.iter().map(Expr::from).collect())].into(),
             dtype: DataType::float32(),
         });
         (a, b, c, Stmt::seq(vec![s1, s2]))

@@ -283,7 +283,7 @@ impl Interpreter {
                     vals.push(self.eval(a)?);
                 }
                 eval_math_intrinsic(name, &vals)
-                    .ok_or_else(|| ExecError::UnknownIntrinsic(name.clone()))?
+                    .ok_or_else(|| ExecError::UnknownIntrinsic(name.to_string()))?
             }
         })
     }
@@ -684,7 +684,7 @@ mod tests {
         let b = Buffer::new("B", DataType::float32(), vec![8]);
         let body = compute("B", &b, |iv| Expr::Call {
             name: "exp".into(),
-            args: vec![a.load(vec![Expr::from(&iv[0])])],
+            args: vec![a.load(vec![Expr::from(&iv[0])])].into(),
             dtype: DataType::float32(),
         });
         let f = PrimFunc::new("f", vec![a, b], body);

@@ -981,7 +981,7 @@ mod tests {
             (
                 mk(Expr::Call {
                     name: "bogus".into(),
-                    args: vec![Expr::f32(1.0)],
+                    args: vec![Expr::f32(1.0)].into(),
                     dtype: DataType::float32(),
                 }),
                 |e| matches!(e, ExecError::UnknownIntrinsic(_)),
@@ -1170,7 +1170,7 @@ mod tests {
                 .and(x().lt(Expr::f32(0.5))),
             Expr::Call {
                 name: "sqrt".into(),
-                args: vec![x() * x() + Expr::f32(1.0)],
+                args: vec![x() * x() + Expr::f32(1.0)].into(),
                 dtype: DataType::float32(),
             },
             Expr::Cast(DataType::int8(), Box::new(x() * Expr::f32(100.0)))

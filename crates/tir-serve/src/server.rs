@@ -18,7 +18,10 @@
 //! [`tir_trace::Collector`]; unlike the `search.*` spans (which carry
 //! deterministic simulated seconds), `serve.*` spans carry **wall-clock
 //! seconds** — the daemon's latency is a property of the machine it runs
-//! on, not of the simulation, and the spans exist to attribute it.
+//! on, not of the simulation, and the spans exist to attribute it. The
+//! collector is [`tir_trace::Collector::aggregating`]: it folds each span
+//! into its phase total on arrival, so the daemon's memory does not grow
+//! with the number of requests it has answered.
 //!
 //! # Concurrency invariants
 //!
@@ -293,7 +296,7 @@ impl Server {
         let listener = UnixListener::bind(&cfg.socket_path).map_err(StartError::Io)?;
         listener.set_nonblocking(true).map_err(StartError::Io)?;
 
-        let collector = Collector::new();
+        let collector = Collector::aggregating();
         let trace_stream = collector.stream("serve");
         collector.count("serve.journal_replayed", recovery.journal_replayed as u64);
         collector.count(
@@ -359,7 +362,8 @@ impl Server {
     /// Blocks until the daemon has shut down (a client sent `shutdown`
     /// or [`Server::request_shutdown`] was called), persists the final
     /// database state (including hit/miss counters), removes the socket
-    /// file, and returns the merged trace report.
+    /// file, and returns the trace report: per-phase totals and counters
+    /// (the daemon keeps no individual spans).
     pub fn join(self) -> TraceReport {
         let _ = self.accept.join();
         self.shared.queue_cv.notify_all();

@@ -163,18 +163,43 @@ impl Batch {
     }
 }
 
+/// Adds one span to its phase total.
+fn fold(phases: &mut BTreeMap<String, Phase>, span: Span) {
+    let phase = phases.entry(span.name).or_insert_with_key(|name| Phase {
+        name: name.clone(),
+        sim_s: 0.0,
+        items: 0,
+        spans: 0,
+    });
+    phase.sim_s += span.sim_s;
+    phase.items += span.items;
+    phase.spans += 1;
+}
+
 /// Merged collector state behind the lock.
 #[derive(Debug, Default)]
 struct Inner {
     spans: Vec<Span>,
+    /// Running phase totals, for a collector that keeps no spans.
+    phases: BTreeMap<String, Phase>,
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     streams: Vec<(u64, String)>,
 }
 
 impl Inner {
-    fn absorb(&mut self, batch: Batch) {
-        self.spans.extend(batch.spans);
+    fn record(&mut self, keep_spans: bool, span: Span) {
+        if keep_spans {
+            self.spans.push(span);
+        } else {
+            fold(&mut self.phases, span);
+        }
+    }
+
+    fn absorb(&mut self, keep_spans: bool, batch: Batch) {
+        for span in batch.spans {
+            self.record(keep_spans, span);
+        }
         for (name, n) in batch.counts {
             *self.counters.entry(name).or_default() += n;
         }
@@ -194,6 +219,8 @@ impl Inner {
 #[derive(Default)]
 pub struct Collector {
     enabled: bool,
+    /// Whether spans are kept one by one (see [`Collector::aggregating`]).
+    keep_spans: bool,
     next_stream: AtomicU64,
     inner: Mutex<Inner>,
 }
@@ -211,8 +238,22 @@ impl Collector {
     pub fn new() -> Collector {
         Collector {
             enabled: true,
+            keep_spans: true,
             next_stream: AtomicU64::new(1),
             inner: Mutex::new(Inner::default()),
+        }
+    }
+
+    /// An enabled collector that folds each span into its phase total as
+    /// it arrives instead of keeping it, so its memory stays bounded by
+    /// the number of distinct names however long it runs: the collector
+    /// for a long-running service. Its reports list no spans, and their
+    /// phase sums follow arrival order rather than key order, so they are
+    /// not byte-identical across runs.
+    pub fn aggregating() -> Collector {
+        Collector {
+            keep_spans: false,
+            ..Collector::new()
         }
     }
 
@@ -222,6 +263,7 @@ impl Collector {
     pub fn disabled() -> Collector {
         Collector {
             enabled: false,
+            keep_spans: true,
             next_stream: AtomicU64::new(1),
             inner: Mutex::new(Inner::default()),
         }
@@ -253,12 +295,16 @@ impl Collector {
         if !self.enabled {
             return;
         }
-        self.inner.lock().expect("trace lock").spans.push(Span {
+        let span = Span {
             name: name.to_string(),
             key,
             sim_s,
             items,
-        });
+        };
+        self.inner
+            .lock()
+            .expect("trace lock")
+            .record(self.keep_spans, span);
     }
 
     /// Adds `n` to the named counter.
@@ -306,18 +352,11 @@ impl Collector {
         let mut spans = inner.spans.clone();
         spans.sort_by(|a, b| a.key.cmp(&b.key).then_with(|| a.name.cmp(&b.name)));
         // Aggregate phases in sorted-span order so the f64 sums are a
-        // pure function of the recorded set, not of arrival order.
-        let mut phases: BTreeMap<String, Phase> = BTreeMap::new();
+        // pure function of the recorded set, not of arrival order. (An
+        // aggregating collector has its totals already and no spans.)
+        let mut phases = inner.phases.clone();
         for s in &spans {
-            let p = phases.entry(s.name.clone()).or_insert_with(|| Phase {
-                name: s.name.clone(),
-                sim_s: 0.0,
-                items: 0,
-                spans: 0,
-            });
-            p.sim_s += s.sim_s;
-            p.items += s.items;
-            p.spans += 1;
+            fold(&mut phases, s.clone());
         }
         let mut streams = inner.streams.clone();
         streams.sort();
@@ -387,7 +426,7 @@ impl TraceBuffer<'_> {
             .inner
             .lock()
             .expect("trace lock")
-            .absorb(batch);
+            .absorb(self.collector.keep_spans, batch);
     }
 }
 
@@ -741,6 +780,32 @@ mod tests {
         assert_eq!(c.stream("s"), 0);
         let r = c.report();
         assert!(r.spans.is_empty() && r.counters.is_empty() && r.histograms.is_empty());
+    }
+
+    #[test]
+    fn aggregating_collector_keeps_phase_totals_not_spans() {
+        let events = [
+            ("serve.tune", Key::coord(1, 0, 3), 2.0, 12u64),
+            ("serve.respond", Key::coord(1, 0, 4), 0.5, 1),
+            ("serve.tune", Key::coord(1, 1, 3), 4.0, 12),
+        ];
+        let (kept, folded) = (Collector::new(), Collector::aggregating());
+        for c in [&kept, &folded] {
+            for (n, k, s, it) in events {
+                c.span(n, k, s, it);
+            }
+            let mut buf = c.buffer();
+            buf.span("serve.respond", Key::coord(1, 1, 4), 0.25, 1);
+            buf.count("serve.cold_tunes", 2);
+        }
+        let (kept, folded) = (kept.report(), folded.report());
+        assert_eq!(kept.spans.len(), 4);
+        assert!(
+            folded.spans.is_empty(),
+            "an aggregating collector keeps no spans"
+        );
+        assert_eq!(folded.phases, kept.phases);
+        assert_eq!(folded.counters, kept.counters);
     }
 
     #[test]

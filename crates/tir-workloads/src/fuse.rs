@@ -73,7 +73,7 @@ fn zero(dt: DataType) -> Expr {
 fn erf(x: Expr, dt: DataType) -> Expr {
     Expr::Call {
         name: "erf".into(),
-        args: vec![x],
+        args: vec![x].into(),
         dtype: dt,
     }
 }

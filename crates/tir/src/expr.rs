@@ -244,11 +244,13 @@ pub enum Expr {
         indices: Vec<Expr>,
     },
     /// Call of a named intrinsic (e.g. `exp`, `accel.dot`, `wmma.mma_sync`).
+    /// Boxed-slice fields keep this, the largest variant, no larger than
+    /// `Load`: every node of every expression tree pays for it.
     Call {
         /// Intrinsic name.
-        name: String,
+        name: Box<str>,
         /// Argument expressions.
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
         /// Result type.
         dtype: DataType,
     },

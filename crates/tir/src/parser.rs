@@ -451,8 +451,8 @@ impl<'a> ExprParser<'a> {
                 // Intrinsic calls default to float32; the type is refined by
                 // context (stores quantize anyway).
                 Ok(Expr::Call {
-                    name: intrinsic.to_string(),
-                    args,
+                    name: intrinsic.into(),
+                    args: args.into(),
                     dtype: DataType::float32(),
                 })
             }
@@ -1166,7 +1166,7 @@ mod tests {
         let b = Buffer::new("B", DataType::float32(), vec![8, 8]);
         let body = crate::builder::compute("B", &b, |iv| Expr::Call {
             name: "exp".into(),
-            args: vec![a.load(iv.iter().map(Expr::from).collect())],
+            args: vec![a.load(iv.iter().map(Expr::from).collect())].into(),
             dtype: DataType::float32(),
         });
         round_trip(&PrimFunc::new("ew", vec![a, b], body));

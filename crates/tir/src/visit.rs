@@ -137,7 +137,10 @@ pub trait ExprMutator {
             },
             Expr::Call { name, args, dtype } => Expr::Call {
                 name,
-                args: args.into_iter().map(|a| self.mutate_expr(a)).collect(),
+                args: Vec::from(args)
+                    .into_iter()
+                    .map(|a| self.mutate_expr(a))
+                    .collect(),
                 dtype,
             },
         }
