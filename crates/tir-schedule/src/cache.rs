@@ -193,7 +193,7 @@ impl Schedule {
         let wb_name = format!("{cache_name}_wb");
         let scope_str = scope.as_str().to_string();
         let cache = out_buffer.derive(cache_name, scope);
-
+        // As in `cache_read`: check the root block before the first edit.
         self.root_mut()?;
 
         // Compute the written region under the attach loop *before*

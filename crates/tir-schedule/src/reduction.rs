@@ -33,8 +33,7 @@ impl Schedule {
         // Gather info about the block realize and the loops between
         // loop_ref and the block.
         let br = tir::visit::find_block(&self.func.body, block.name())
-            .ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))?
-            .clone();
+            .ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))?;
         if br.block.init.is_none() {
             return Err(ScheduleError::Precondition(format!(
                 "block {} has no init statement",
